@@ -39,7 +39,6 @@ from repro.archis.config import (
 )
 from repro.archis.htables import TrackedRelation, create_htables
 from repro.archis.publisher import history_rows, publish_relation
-from repro.archis.sharding import ShardRouter, ShardTarget, shard_path
 from repro.archis.tracker import (
     HTableWriter,
     LogTracker,
@@ -54,12 +53,10 @@ _TEMPORAL_SECONDS = get_registry().histogram("temporal.query.seconds")
 _FALLBACKS = get_registry().labeled_counter("xquery.fallback")
 _CACHE_HITS = get_registry().counter("translator.cache_hits")
 _CACHE_MISSES = get_registry().counter("translator.cache_misses")
-_SHARD_ROUTED = get_registry().labeled_counter("shard.entries_routed")
 
 #: sentinel distinguishing "batch_size not passed" (use the configured
 #: default) from an explicit ``batch_size=None`` (row-at-a-time apply)
 _UNSET = object()
-_SHARD_APPLIES = get_registry().counter("shard.applies")
 
 
 @dataclass(frozen=True)
@@ -151,193 +148,6 @@ class ArchIS:
             "tendval",
             lambda v: self.db.current_date if v == FOREVER else v,
         )
-        #: key -> shard routing; ``count == 1`` is the single-store
-        #: engine (no coordinator machinery engages at all)
-        self.router = ShardRouter(config.shard_count, config.shard_mode)
-        #: the per-shard single-store ArchIS instances (empty unsharded)
-        self.shard_stores: list["ArchIS"] = []
-        #: H-table / history-function name -> ShardTarget consumed by the
-        #: physical layer's Exchange operator via ``db.shard_provider``
-        self._shard_targets: dict[str, ShardTarget] = {}
-        self._shard_pool = None
-        self._pool_lock = threading.Lock()
-        if self.router.sharded:
-            if self.profile.tracking != "log":
-                raise ArchisError(
-                    "sharding requires the atlas profile: trigger "
-                    "tracking archives synchronously into the front "
-                    "store and cannot be routed"
-                )
-            self._open_shard_stores()
-            self.db.shard_provider = self._shard_target
-
-    # -- sharding ----------------------------------------------------------------
-
-    @property
-    def is_sharded(self) -> bool:
-        """Does this system coordinate multiple shard stores?"""
-        return self.router.sharded
-
-    def _shard_config(self) -> ArchISConfig:
-        """The config each shard store runs with (the N=1 engine)."""
-        return self.config.replace(shards=1, shard_by=None)
-
-    def _open_shard_stores(self) -> None:
-        """Create or reopen the N shard stores.
-
-        A file-backed front store at ``p`` keeps shard ``k`` at
-        ``p.shard<k>`` — its own pager, WAL, blob store, segment table
-        and (in background mode) maintenance worker.  A shard whose
-        sidecar exists is reloaded through the normal archive-open path
-        (running its own WAL recovery); otherwise it starts fresh.
-        """
-        import os
-
-        from repro.archis.persistence import ARCHIS_SUFFIX, load_archive
-
-        front_path = self.db.pager.path
-        config = self._shard_config()
-        for index in self.router.all_shards():
-            if front_path is None:
-                store = ArchIS(Database(), config=config)
-            else:
-                path = shard_path(front_path, index)
-                if os.path.exists(path + ARCHIS_SUFFIX):
-                    store = load_archive(path, config=config)
-                else:
-                    store = ArchIS(
-                        Database(
-                            path,
-                            config.buffer_pages,
-                            durability=config.durability,
-                        ),
-                        config=config,
-                    )
-            self.shard_stores.append(store)
-
-    def _shard_target(self, name: str):
-        """``Database.shard_provider`` hook for the physical layer."""
-        return self._shard_targets.get(name.lower())
-
-    def _sync_shard_clocks(self) -> None:
-        """Move every shard clock up to the coordinator's day.
-
-        Shard clocks only move forward (commits may complete out of day
-        order); the coordinator's clock stays authoritative for query
-        semantics (``tendval`` runs in the front database).
-        """
-        day = self.db.current_date
-        for store in self.shard_stores:
-            store.db.advance_to(day)
-
-    def _shard_submit(self, fn):
-        """Run ``fn`` on the coordinator's shard pool; returns a future.
-
-        The pool is created lazily (a sharded archive that never runs a
-        scatter query never spawns threads) and shut down in
-        :meth:`close`.
-        """
-        if self._shard_pool is None:
-            with self._pool_lock:
-                if self._shard_pool is None:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    self._shard_pool = ThreadPoolExecutor(
-                        max_workers=self.router.count,
-                        thread_name_prefix="repro-shard",
-                    )
-        return self._shard_pool.submit(fn)
-
-    def _track_shard_relation(
-        self, name: str, key: str, document_name: str | None
-    ) -> None:
-        """Mirror a tracked relation into every shard store.
-
-        Each shard gets a schema clone of the current table (so its own
-        ``track_table`` can derive the H-table layout) plus the full
-        tracking machinery; the mirror current table itself never
-        receives DML — shard H-tables are fed through the routed update
-        log, never through the mirror's tracker.
-        """
-        table = self.db.table(name)
-        columns = [(c.name, c.type) for c in table.schema.columns]
-        for store in self.shard_stores:
-            if name in store.relations:
-                continue  # reloaded from the shard's own sidecar
-            if not store.db.has_table(name):
-                store.db.create_table(
-                    name, columns, table.schema.primary_key
-                )
-            store.track_table(name, key=key, document_name=document_name)
-
-    def _register_shard_targets(self, relation: TrackedRelation) -> None:
-        """Expose one :class:`ShardTarget` per H-table of ``relation``.
-
-        Registered under the table name and its ``history_``/``seg_``/
-        ``slice_`` table-function names, so any plan leaf over the
-        relation's history resolves to the same scatter target.
-        """
-        stores = tuple(self.shard_stores)
-        for table_name in relation.all_tables():
-            target = ShardTarget(
-                table=table_name,
-                key_column="id",
-                router=self.router,
-                stores=stores,
-                prepare=self._sync_shard_clocks,
-                submit=self._shard_submit,
-            )
-            for name in (
-                table_name,
-                f"history_{table_name}",
-                f"seg_{table_name}",
-                f"slice_{table_name}",
-            ):
-                self._shard_targets[name.lower()] = target
-
-    def _apply_sharded(
-        self, predicate, batch_size: int | None, durable: bool
-    ) -> int:
-        """Route the front update log into per-shard logs and apply.
-
-        Runs under the coordinator's history write lock so scatter
-        queries (which hold the coordinator read side) observe a
-        cross-shard-consistent archive.  Entry order is preserved per
-        shard: the front drain is day-ordered and partitioning keeps
-        every shard's subsequence in that order, so per-shard archive
-        timestamps never go backwards.  Each shard applies through its
-        own :class:`~repro.archis.batch.BatchArchiver` — one WAL commit
-        per batch *per shard* under ``durable=True``.  A shard failing
-        mid-apply requeues into its own log and the error propagates;
-        entries already routed to other shards stay queued there and the
-        next apply resumes them.
-        """
-        if batch_size is _UNSET:
-            batch_size = self.config.batch_size
-        with self.history_lock.write():
-            self._sync_shard_clocks()
-            for entry in self.db.update_log.drain_ordered(predicate):
-                writer = self.writers.get(entry.table)
-                if writer is None:
-                    continue  # untracked, dropped as in single-store apply
-                index = self.router.shard_for(writer.key_of(entry.row))
-                self.shard_stores[index].db.update_log.append(
-                    entry.timestamp,
-                    entry.table,
-                    entry.op,
-                    entry.row,
-                    entry.old,
-                )
-                _SHARD_ROUTED.inc(str(index))
-            applied = 0
-            for store in self.shard_stores:
-                applied += store.apply_pending(
-                    batch_size=batch_size, durable=durable
-                )
-            if applied:
-                _SHARD_APPLIES.inc()
-        return applied
-
     # -- setup -------------------------------------------------------------------
 
     def track_table(
@@ -390,23 +200,9 @@ class ArchIS:
         self.writers[name] = writer
         self.trackers[name] = tracker
         self._doc_names[document_name or f"{name}s.xml"] = name
-        if self.router.sharded:
-            # the front H-tables stay empty (they exist so the planner
-            # can resolve names and schemas); history lands in the shard
-            # whose key range owns each row
-            self._track_shard_relation(name, key, document_name)
-            self._register_shard_targets(relation)
-            self._sync_shard_clocks()
-            day = self.db.current_date
-            for row in list(table.rows()):
-                index = self.router.shard_for(writer.key_of(row))
-                self.shard_stores[index].writers[name].archive_insert(
-                    row, day
-                )
-        else:
-            # archive rows that already exist in the current table
-            for row in list(table.rows()):
-                writer.archive_insert(row, self.db.current_date)
+        # archive rows that already exist in the current table
+        for row in list(table.rows()):
+            writer.archive_insert(row, self.db.current_date)
         return relation
 
     # -- change flow ---------------------------------------------------------------
@@ -439,8 +235,6 @@ class ArchIS:
         if self.txn_manager is not None:
             self.txn_manager.apply_committed()
             return 0
-        if self.router.sharded:
-            return self._apply_sharded(None, batch_size, durable)
         if batch_size is _UNSET:
             batch_size = self.config.batch_size
         if batch_size is None:
@@ -463,8 +257,6 @@ class ArchIS:
         """
         if self.profile.tracking != "log":
             return 0
-        if self.router.sharded:
-            return self._apply_sharded(predicate, batch_size, False)
         if batch_size is _UNSET:
             batch_size = self.config.batch_size
         if batch_size is None:
@@ -490,13 +282,6 @@ class ArchIS:
             )
 
     def _all_rows_of(self, table_name: str):
-        if self.router.sharded:
-            # shards partition the key space, so per-shard streams are
-            # disjoint; consumers (publisher, history dedup) re-sort
-            for store in self.shard_stores:
-                with store.history_lock.read():
-                    yield from list(store._all_rows_of(table_name))
-            return
         yield from self.db.table(table_name).rows()
         if table_name in self.archive.compressed_tables:
             yield from self.archive.read_rows(table_name)
@@ -525,12 +310,6 @@ class ArchIS:
 
     def _segment_hints(self, table_name: str):
         """``Database.segment_provider`` hook for the optimizer rules."""
-        if self.router.sharded and table_name.lower() in self._shard_targets:
-            # the coordinator's copy of a sharded H-table is empty and
-            # its segment map meaningless; leaving the hint out keeps
-            # the history_ scan intact so the Exchange operator can
-            # re-optimize the leaf per shard with that shard's own hints
-            return None
         if not self.segments.is_registered(table_name):
             return None
         from repro.plan.optimizer import SegmentHints
@@ -619,9 +398,8 @@ class ArchIS:
         Returns a :class:`~repro.api.Result` whose ``rows`` are the
         answer forest (XML elements and/or scalars) and whose ``stats``
         carry the translated SQL, the fallback reason (if any) and the
-        elapsed seconds.  The Result still compares/iterates like the
-        bare list this method used to return (with a
-        ``DeprecationWarning``).
+        elapsed seconds.  The answer is ``result.rows``: a Result is not
+        a sequence and never compares equal to a bare list.
 
         Emits an ``archis.xquery`` root span (children: ``xquery.translate``,
         ``sql.execute``, ``xquery.post`` — or ``xquery.native`` on
@@ -706,10 +484,10 @@ class ArchIS:
         SYSTEM_TIME`` clauses, ``TEMPORAL JOIN``, ``SELECT NORMALIZE``
         and sequenced aggregates (``tavg``/``tcount``/...) lower straight
         into the plan IR, so time-travel queries pick up segment
-        restriction, index selection and Exchange shard pruning without
-        any XQuery translation.  Pending changes are archived first and
-        SELECTs run under the history read lock, mirroring the ``xquery``
-        path; use :meth:`explain_sql` / ``db.last_plan`` for the plan.
+        restriction and index selection without any XQuery translation.
+        Pending changes are archived first and SELECTs run under the
+        history read lock, mirroring the ``xquery`` path; use
+        :meth:`explain_sql` / ``db.last_plan`` for the plan.
         """
         from repro.plan.build import select_is_temporal
         from repro.sql import ast as sql_ast
@@ -746,8 +524,8 @@ class ArchIS:
 
         The SQL sibling of :meth:`explain`: returns the span tree, the
         statement's :class:`~repro.obs.explain.PlanReport` (where the
-        segment restriction and shard pruning are visible) and the
-        buffer-pool IO the run performed.
+        segment restriction is visible) and the buffer-pool IO the run
+        performed.
         """
         registry = get_registry()
         misses = registry.counter("buffer.misses")
@@ -782,36 +560,13 @@ class ArchIS:
     ) -> Result:
         """(id, value) pairs of an attribute's snapshot at ``date``.
 
-        Returns a :class:`~repro.api.Result` (columns ``id`` and the
-        attribute name) that still iterates/compares like the bare
-        list of pairs this method used to return.
+        Returns a :class:`~repro.api.Result` whose ``rows`` are the
+        pairs and whose ``columns`` are ``id`` and the attribute name;
+        ``stats`` records the segment read and whether it was compressed.
         """
         relation = self._relation(relation_name)
         table_name = relation.attribute_table(attribute)
         columns = ["id", attribute]
-        if self.router.sharded:
-            # keys are disjoint across shards: the snapshot is the plain
-            # union of the per-shard snapshots (each using its own
-            # segment fast path), gathered under the coordinator read
-            # side so no routed apply lands mid-union
-            rows: list = []
-            with self.history_lock.read():
-                self._sync_shard_clocks()
-                for store in self.shard_stores:
-                    rows.extend(
-                        store.snapshot_rows(
-                            relation_name, attribute, date
-                        ).rows
-                    )
-            return Result(
-                rows,
-                columns,
-                stats={
-                    "table": table_name,
-                    "date": date,
-                    "shards": self.router.count,
-                },
-            )
         stats = {"table": table_name, "date": date}
         with self.history_lock.read():
             segno = self.segments.segment_for(date)
@@ -896,20 +651,13 @@ class ArchIS:
         self.drain_maintenance()
         report = {}
         with get_tracer().span("archis.compress_archive") as span:
-            if self.router.sharded:
-                # each shard BlockZIPs its own frozen segments into its
-                # own blob store; the report namespaces per shard
-                for index, store in enumerate(self.shard_stores):
-                    for name, info in store.compress_archive().items():
-                        report[f"shard{index}/{name}"] = info
-            else:
-                for relation in self.relations.values():
-                    for table_name in relation.all_tables():
-                        if table_name in self.archive.compressed_tables:
-                            continue
-                        report[table_name] = self.archive.compress_table(
-                            table_name
-                        )
+            for relation in self.relations.values():
+                for table_name in relation.all_tables():
+                    if table_name in self.archive.compressed_tables:
+                        continue
+                    report[table_name] = self.archive.compress_table(
+                        table_name
+                    )
             span.set("tables", len(report))
         return report
 
@@ -926,15 +674,6 @@ class ArchIS:
         self.drain_maintenance()
         from repro.archis.persistence import save_archive
 
-        if self.router.sharded:
-            # route + apply the front backlog first so each shard's save
-            # captures it; every shard commits its own WAL frame, then
-            # the front sidecar (which carries the shard layout and
-            # relation catalog) commits last — a crash between shard
-            # saves leaves each shard at its own consistent boundary
-            self.apply_pending()
-            for store in self.shard_stores:
-                store.save()
         return save_archive(self)
 
     def drain_maintenance(self, timeout: float = 60.0) -> None:
@@ -945,18 +684,11 @@ class ArchIS:
         """
         if self.maintenance is not None:
             self.maintenance.drain(timeout)
-        for store in self.shard_stores:
-            store.drain_maintenance(timeout)
 
     def close(self) -> None:
-        """Stop maintenance, shut the shard fan-out down, close the db."""
+        """Stop maintenance, close the db."""
         if self.maintenance is not None:
             self.maintenance.stop()
-        if self._shard_pool is not None:
-            self._shard_pool.shutdown(wait=True)
-            self._shard_pool = None
-        for store in self.shard_stores:
-            store.close()
         self.db.close()
 
     def __enter__(self) -> "ArchIS":
@@ -1039,23 +771,6 @@ class ArchIS:
                 "clearance_denied": get_registry().counter(
                     "ingest.clearance_denied"
                 ).value,
-            },
-            "sharding": {
-                "shards": self.router.count,
-                "shard_by": self.router.shard_by,
-                "enabled": self.router.sharded,
-                "stores": [
-                    {
-                        "path": store.db.pager.path,
-                        "segments": store.segments.segment_count(),
-                        "freezes": store.segments.freeze_count,
-                        "backlog": len(store.db.update_log),
-                        "compressed_tables": sorted(
-                            store.archive.compressed_tables
-                        ),
-                    }
-                    for store in self.shard_stores
-                ],
             },
             "config": self.config.as_dict(),
             "txn": (
@@ -1142,8 +857,6 @@ class ArchIS:
 
     def reset_caches(self) -> None:
         self.db.reset_caches()
-        for store in self.shard_stores:
-            store.reset_caches()
         with self._cache_lock:
             self._translation_cache.clear()
 
@@ -1154,7 +867,7 @@ class ArchIS:
         (BerkeleyDB keeps tables inside a clustered B-tree; Fig. 11 shows
         the resulting storage penalty).
         """
-        total = sum(store.storage_bytes() for store in self.shard_stores)
+        total = 0
         for relation in self.relations.values():
             for table_name in relation.all_tables():
                 table = self.db.table(table_name)

@@ -45,28 +45,7 @@ def check_archive(archis) -> list[Violation]:
     Blob integrity runs first: tables whose compressed blocks are corrupt
     are excluded from the row-level checks (which could not read them)
     rather than aborting the whole audit.
-
-    A sharded coordinator is audited shard by shard (each shard store is
-    a complete archive over its key subset), except live-consistency —
-    the current table lives only in the coordinator, so live history is
-    unioned across shards before comparing — plus one sharded-only
-    check: every history row must sit in the shard its key routes to.
     """
-    stores = getattr(archis, "shard_stores", ())
-    if stores:
-        out = []
-        for index, store in enumerate(stores):
-            out.extend(
-                Violation(v.check, f"shard{index}/{v.table}", v.detail)
-                for v in _check_single_store(store, live_consistency=False)
-            )
-        out.extend(check_sharded_live_rows(archis))
-        out.extend(check_shard_ownership(archis))
-        return out
-    return _check_single_store(archis)
-
-
-def _check_single_store(archis, live_consistency: bool = True) -> list[Violation]:
     out: list[Violation] = []
     blob_violations = check_blob_integrity(archis)
     out.extend(blob_violations)
@@ -87,65 +66,7 @@ def _check_single_store(archis, live_consistency: bool = True) -> list[Violation
             for a in relation.attributes
         ) and relation.key_table not in unreadable:
             out.extend(check_history_sanity(archis, relation))
-            if live_consistency:
-                out.extend(check_live_rows_match_current(archis, relation))
-    return out
-
-
-def check_sharded_live_rows(archis) -> list[Violation]:
-    """Coordinator-wide live-consistency: shard keys are disjoint, so the
-    union of per-shard live versions must match the current table."""
-    out = []
-    for relation in archis.relations.values():
-        current = archis.db.table(relation.name)
-        key_pos = current.schema.position(relation.key)
-        current_keys = {row[key_pos] for row in current.rows()}
-        live_keys = set()
-        for store in archis.shard_stores:
-            live_keys.update(
-                row[0]
-                for row in store.history(relation.name)
-                if row[-1] == FOREVER
-            )
-        for key in current_keys - live_keys:
-            out.append(
-                Violation(
-                    "live-consistency", relation.key_table,
-                    f"current row {key} has no live history version in any "
-                    "shard",
-                )
-            )
-        for key in live_keys - current_keys:
-            out.append(
-                Violation(
-                    "live-consistency", relation.key_table,
-                    f"history row {key} is live but absent from the current "
-                    "table",
-                )
-            )
-    return out
-
-
-def check_shard_ownership(archis) -> list[Violation]:
-    """Every history row must live in the shard its key routes to."""
-    out = []
-    for relation in archis.relations.values():
-        for index, store in enumerate(archis.shard_stores):
-            misplaced = sorted(
-                {
-                    row[0]
-                    for row in store.history(relation.name)
-                    if archis.router.shard_for(row[0]) != index
-                }
-            )
-            if misplaced:
-                out.append(
-                    Violation(
-                        "shard-ownership",
-                        f"shard{index}/{relation.key_table}",
-                        f"keys {misplaced[:5]} route to other shards",
-                    )
-                )
+            out.extend(check_live_rows_match_current(archis, relation))
     return out
 
 

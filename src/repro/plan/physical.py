@@ -31,14 +31,6 @@ Env = dict
 #: ``finally``), so the per-row cost is a plain integer increment.
 _ROWS_SCANNED = get_registry().counter("sql.rows_scanned")
 
-#: scatter-gather executions and their fan-out (see :class:`ExchangeOp`)
-_EXCHANGE_QUERIES = get_registry().counter("exchange.queries")
-_EXCHANGE_SHARDS_HIT = get_registry().histogram(
-    "exchange.shards_hit", (1, 2, 4, 8, 16, 32)
-)
-_EXCHANGE_PRUNED = get_registry().counter("exchange.shards_pruned")
-
-
 class _Top:
     """Sorts after every real value: pads composite-index range bounds.
 
@@ -89,17 +81,6 @@ class ExecContext:
 
 def compile_plan(plan, ctx: ExecContext):
     """Compile a logical plan node into its physical operator."""
-    if isinstance(plan, (nodes.Scan, nodes.IndexScan, nodes.FunctionScan)):
-        provider = getattr(ctx.db, "shard_provider", None)
-        if provider is not None:
-            name = (
-                plan.function
-                if isinstance(plan, nodes.FunctionScan)
-                else plan.table
-            )
-            target = provider(name)
-            if target is not None:
-                return ExchangeOp(plan, ctx, target)
     if isinstance(plan, nodes.Scan):
         return SeqScanOp(plan, ctx)
     if isinstance(plan, nodes.IndexScan):
@@ -279,178 +260,6 @@ class FunctionScanOp:
                     yield env
         finally:
             _ROWS_SCANNED.inc(scanned)
-
-
-# -- scatter-gather exchange --------------------------------------------------
-
-
-class ExchangeOp:
-    """Scatter a leaf scan across shard stores and gather the streams.
-
-    Built whenever ``ctx.db.shard_provider`` resolves the leaf's table
-    (or table-function) name to a :class:`~repro.archis.sharding.
-    ShardTarget`.  For every shard the *logical leaf* is re-optimized
-    against that shard's own catalog — segment restriction and index
-    selection run with the shard's segment map, so a query the
-    coordinator could not restrict (its copy of the H-table is empty)
-    becomes a ``segno = k`` scan, a ``seg_``/``slice_`` read or a B+
-    tree range scan per shard, each under the shard's history read lock.
-
-    Pruning: a ``key = <literal|param>`` equality on the leaf (or an
-    index-scan eq prefix) collapses the fan-out to the single owning
-    shard; params are resolved at ``rows()`` time.  Gathering runs on
-    the coordinator's shard thread pool (a multiprocessing exchange can
-    slot in behind the same ``ShardTarget.submit`` seam); per-shard
-    streams are merged ordered on the leaf's index range column when
-    every shard scans it, else concatenated in shard order so results
-    stay deterministic.
-    """
-
-    name = "Exchange"
-
-    def __init__(self, plan, ctx: ExecContext, target) -> None:
-        self.plan = plan
-        self.ctx = ctx
-        self.target = target
-        #: shards touched by the most recent execution (EXPLAIN reads
-        #: this through ``render_detail`` after the query ran)
-        self.shards_hit = target.router.count
-        self._key_value = self._key_eq_value()
-        # an IndexScan leaf streams every shard in (prefix, range_column)
-        # order with identical eq prefixes, so a k-way ordered merge
-        # preserves the index order end to end
-        self._merge_column = (
-            plan.range_column
-            if isinstance(plan, nodes.IndexScan)
-            else None
-        )
-        #: representative per-shard sub-plan, compiled for rendering
-        #: only (shard 0 with no pruning); execution re-optimizes per
-        #: shard under each shard's read lock
-        self.child = None
-        if target.stores:
-            try:
-                self.child = self._compile_for(target.stores[0])
-            except Exception:
-                self.child = None
-
-    @property
-    def render_detail(self) -> str:
-        where = (
-            self.plan.function
-            if isinstance(self.plan, nodes.FunctionScan)
-            else self.plan.table
-        )
-        return (
-            f" {where} shards={self.shards_hit}/{self.target.router.count}"
-            f" by {self.target.key_column}"
-        )
-
-    # -- pruning -----------------------------------------------------------
-
-    def _key_eq_value(self):
-        """A compiled ``() -> key`` closure when the leaf pins the
-        shard key with an equality, else ``None``."""
-        key = self.target.key_column
-        candidates = []
-        if isinstance(self.plan, nodes.IndexScan):
-            candidates.extend(
-                value for column, value in self.plan.eq if column == key
-            )
-        for pred in self.plan.predicates:
-            if (
-                isinstance(pred, ast.BinaryOp)
-                and pred.op == "="
-            ):
-                for side, other in (
-                    (pred.left, pred.right),
-                    (pred.right, pred.left),
-                ):
-                    if (
-                        isinstance(side, ast.ColumnRef)
-                        and side.column == key
-                        and isinstance(
-                            other, (ast.Literal, ast.DateLiteral, ast.Param)
-                        )
-                    ):
-                        candidates.append(other)
-        for value in candidates:
-            if isinstance(value, (ast.Literal, ast.DateLiteral, ast.Param)):
-                return self.ctx.compile_const(value)
-        return None
-
-    def _fanout(self, params: Mapping) -> list[int]:
-        router = self.target.router
-        if self._key_value is not None:
-            key = self._key_value(None, params)
-            if key is not None:
-                return router.shards_for_key(key)
-        return router.all_shards()
-
-    # -- per-shard compilation ---------------------------------------------
-
-    def _compile_for(self, store):
-        """Re-optimize the logical leaf for one shard and compile it.
-
-        The shard's ``segment_provider`` sees that shard's clustering
-        state, so segment restriction / index selection pick the access
-        path the shard would have picked standalone.  The coordinator's
-        scope is reused — aliases and column lists are identical.
-        """
-        from repro.plan.optimizer import PlanContext, run_rules
-        from repro.sql.planner import function_registry
-
-        functions = function_registry(store.db)
-        sub_plan = self.plan
-        if getattr(store.db, "optimizer_enabled", True):
-            sub_plan, _ = run_rules(
-                sub_plan, PlanContext(store.db, self.ctx.scope, functions)
-            )
-        return compile_plan(
-            sub_plan, ExecContext(store.db, self.ctx.scope, functions)
-        )
-
-    def _run_shard(self, store, params: Mapping) -> list:
-        with store.history_lock.read():
-            return list(self._compile_for(store).rows(params))
-
-    # -- execution ---------------------------------------------------------
-
-    def rows(self, params: Mapping) -> Iterator[Env]:
-        self.target.prepare()
-        fanout = self._fanout(params)
-        self.shards_hit = len(fanout)
-        _EXCHANGE_QUERIES.inc()
-        _EXCHANGE_SHARDS_HIT.observe(len(fanout))
-        _EXCHANGE_PRUNED.inc(self.target.router.count - len(fanout))
-        stores = self.target.stores
-        if len(fanout) == 1:
-            yield from self._run_shard(stores[fanout[0]], params)
-            return
-        futures = [
-            self.target.submit(
-                lambda store=stores[index]: self._run_shard(store, params)
-            )
-            for index in fanout
-        ]
-        streams = [future.result() for future in futures]
-        if self._merge_column is not None:
-            import heapq
-
-            slot = (self.plan.alias, self._merge_column)
-            yield from heapq.merge(
-                *streams,
-                key=lambda env: _null_safe_key(env.get(slot)),
-            )
-            return
-        for stream in streams:
-            yield from stream
-
-    def rid_rows(self, params: Mapping):
-        raise SqlPlanError(
-            f"cannot run DML against sharded history table "
-            f"{self.target.table!r} through the coordinator"
-        )
 
 
 # -- joins and filters --------------------------------------------------------

@@ -473,8 +473,8 @@ def _render_op(op, lines: list, depth: int) -> None:
     index_name = getattr(getattr(op, "plan", None), "index_name", None)
     if index_name:
         detail += f" using {index_name}"
-    # operators carrying their own description (ExchangeOp's shard
-    # fan-out) override the generic plan-derived detail
+    # an operator carrying its own description (``render_detail``)
+    # overrides the generic plan-derived detail
     own = getattr(op, "render_detail", None)
     if own:
         detail = own

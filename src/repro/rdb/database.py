@@ -79,11 +79,6 @@ class Database:
         #: by ArchIS so the segment-restriction rule can see clustering
         #: state without the SQL layer importing the archive
         self.segment_provider: Callable | None = None
-        #: optional hook ``(name) -> ShardTarget | None`` installed by a
-        #: sharded ArchIS coordinator: any plan leaf whose table or
-        #: function name resolves to a target is compiled into a
-        #: scatter-gather Exchange over the shard stores
-        self.shard_provider: Callable | None = None
         #: the most recent SelectPlan executed through the session
         #: (EXPLAIN reads its stage report)
         self.last_plan = None

@@ -184,7 +184,7 @@ class UpdateLog:
 
         A closed database's backlog is not a live series: leaving it in
         the registry would accumulate one stale ``updatelog.backlog``
-        label per archive (or per shard) ever opened in the process and
+        label per archive ever opened in the process and
         poison the family's ``total``.  Idempotent; the log itself stays
         usable (a later append republished the series), so close order
         against in-flight drains does not matter.

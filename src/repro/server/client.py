@@ -67,6 +67,8 @@ class Client:
             raise ProtocolError(f"unknown result encoding {encoding!r}")
         self.encoding = encoding
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        # request frames are small: send each at once, never held by Nagle
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         #: the trace id stamped on requests sent outside any local span
         self.trace_id = new_trace_id()
 

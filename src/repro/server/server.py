@@ -176,6 +176,9 @@ class Server:
             except OSError:
                 return  # listener closed by stop()
             conn.settimeout(None)
+            # a response is a header write then a payload write; without
+            # NODELAY, Nagle holds the payload for the peer's delayed ACK
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             _CONNECTIONS.inc()
             try:
                 self._pending.put_nowait(conn)

@@ -4,6 +4,11 @@ Expressions compile to Python closures over an environment dict keyed by
 ``(alias, column)``.  Compilation resolves unqualified column references
 against the visible sources, so typos fail at plan time rather than on the
 millionth row.
+
+Predicates follow SQL's three-valued logic: a comparison involving NULL
+is UNKNOWN, represented as ``None``, and ``AND``/``OR``/``NOT``/``IN``/
+``BETWEEN``/``LIKE`` propagate it.  ``None`` is falsy, so WHERE, ON and
+CASE WHEN treat UNKNOWN as false without any extra check.
 """
 
 from __future__ import annotations
@@ -124,12 +129,22 @@ def compile_expr(node: object, scope: Scope, functions: Mapping) -> CompiledExpr
         operand = compile_expr(node.operand, scope, functions)
         items = [compile_expr(i, scope, functions) for i in node.items]
         negated = node.negated
+        # only a list holding a NULL (or a column/param that may be one)
+        # can turn a miss into UNKNOWN
+        nullable = not all(
+            isinstance(i, ast.DateLiteral)
+            or (isinstance(i, ast.Literal) and i.value is not None)
+            for i in node.items
+        )
         def run_in(env, params):
             value = operand(env, params)
             if value is None:
-                return False
-            hit = any(value == item(env, params) for item in items)
-            return hit != negated
+                return None
+            if any(value == item(env, params) for item in items):
+                return not negated
+            if nullable and any(item(env, params) is None for item in items):
+                return None
+            return negated
         return run_in
     if isinstance(node, ast.Between):
         operand = compile_expr(node.operand, scope, functions)
@@ -139,9 +154,18 @@ def compile_expr(node: object, scope: Scope, functions: Mapping) -> CompiledExpr
         def run_between(env, params):
             value = operand(env, params)
             if value is None:
-                return False
-            hit = low(env, params) <= value <= high(env, params)
-            return hit != negated
+                return None
+            try:
+                return (low(env, params) <= value <= high(env, params)) != negated
+            except TypeError:
+                lo, hi = low(env, params), high(env, params)
+                if lo is not None and hi is not None:
+                    raise
+            # a NULL bound leaves the answer UNKNOWN unless the other
+            # bound already excludes the value
+            if (lo is not None and value < lo) or (hi is not None and value > hi):
+                return negated
+            return None
         return run_between
     if isinstance(node, ast.IsNull):
         operand = compile_expr(node.operand, scope, functions)
@@ -154,7 +178,7 @@ def compile_expr(node: object, scope: Scope, functions: Mapping) -> CompiledExpr
         def run_like(env, params):
             value = operand(env, params)
             if value is None:
-                return False
+                return None
             hit = _like(str(value), str(pattern(env, params)))
             return hit != negated
         return run_like
@@ -217,7 +241,7 @@ def compile_expr(node: object, scope: Scope, functions: Mapping) -> CompiledExpr
         def run_in_subquery(env, params):
             value = operand(env, params)
             if value is None:
-                return False
+                return None
             hit = any(row[0] == value for row in rows_fn(params))
             return hit != negated
         return run_in_subquery
@@ -264,19 +288,38 @@ def _compile_binary(node: ast.BinaryOp, scope: Scope, functions) -> CompiledExpr
     left = compile_expr(node.left, scope, functions)
     right = compile_expr(node.right, scope, functions)
     if op == "and":
-        return lambda env, params: bool(left(env, params)) and bool(
-            right(env, params)
-        )
+        def run_and(env, params):
+            lv = left(env, params)
+            if lv:
+                rv = right(env, params)
+                if rv:
+                    return True
+                return None if rv is None else False
+            if lv is None:
+                # UNKNOWN AND FALSE is FALSE; anything else stays UNKNOWN
+                rv = right(env, params)
+                if rv is None or rv:
+                    return None
+            return False
+        return run_and
     if op == "or":
-        return lambda env, params: bool(left(env, params)) or bool(
-            right(env, params)
-        )
+        def run_or(env, params):
+            lv = left(env, params)
+            if lv:
+                return True
+            rv = right(env, params)
+            if rv:
+                return True
+            if lv is None or rv is None:
+                return None
+            return False
+        return run_or
     if op in ("=", "<>", "<", "<=", ">", ">="):
         def run_cmp(env, params):
             lv = left(env, params)
             rv = right(env, params)
             if lv is None or rv is None:
-                return False
+                return None
             if op == "=":
                 return lv == rv
             if op == "<>":
@@ -314,8 +357,8 @@ def _compile_binary(node: ast.BinaryOp, scope: Scope, functions) -> CompiledExpr
     raise SqlPlanError(f"unknown operator {op}")
 
 
-def _not(value: object) -> bool:
-    return not bool(value)
+def _not(value: object) -> bool | None:
+    return None if value is None else not value
 
 
 def _neg(value: object):

@@ -51,15 +51,6 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
         "--maintenance-step-rows", type=int, default=1024,
         help="row budget per background rewrite step",
     )
-    parser.add_argument(
-        "--shards", type=int, default=None,
-        help="partition the archive's H-tables by key into this many "
-             "independent stores (default: single store)",
-    )
-    parser.add_argument(
-        "--shard-by", choices=["hash", "range"], default=None,
-        help="key-partitioning scheme for --shards (default: hash)",
-    )
 
 
 def _build(args) -> "object":
@@ -73,8 +64,6 @@ def _build(args) -> "object":
         compress=args.compress,
         maintenance=args.maintenance,
         maintenance_step_rows=args.maintenance_step_rows,
-        shards=args.shards,
-        shard_by=args.shard_by,
     )
 
 
@@ -198,38 +187,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_shards(args) -> int:
-    """Inspect a sharded archive: layout, routing and per-shard load."""
-    setup = _build(args)
-    archis = setup.archis
-    router = archis.router
-    print(f"layout:        {router.count} shard(s), by {router.shard_by}")
-    if not router.sharded:
-        print("(single store; pass --shards N to partition)")
-        return 0
-    counts: dict[int, int] = {index: 0 for index in router.all_shards()}
-    for relation in archis.relations.values():
-        table = archis.db.table(relation.name)
-        key_pos = table.schema.position(relation.key)
-        for row in table.rows():
-            counts[router.shard_for(row[key_pos])] += 1
-    for index, store in enumerate(archis.shard_stores):
-        rows = sum(
-            len(list(store.db.table(t).rows()))
-            for relation in store.relations.values()
-            for t in relation.all_tables()
-        )
-        print(
-            f"shard {index}:       {counts[index]} live key(s), "
-            f"{rows} H-table row(s), "
-            f"{store.segments.segment_count()} segment(s) "
-            f"({store.segments.freeze_count} frozen), "
-            f"backlog {len(store.db.update_log)}, "
-            f"{store.storage_bytes():,} bytes"
-        )
-    return 0
-
-
 def cmd_explain(args) -> int:
     setup = _build(args)
     query = args.xquery
@@ -272,9 +229,9 @@ def cmd_serve(args) -> int:
 
     Shuts down cleanly on SIGINT *or* SIGTERM (process managers and
     containers send the latter): the listener stops accepting, in-flight
-    sessions close, maintenance workers (including per-shard workers)
-    drain and stop, and the span exporter is flushed — never a killed
-    process with a half-written span log.
+    sessions close, the maintenance worker drains and stops, and the
+    span exporter is flushed — never a killed process with a
+    half-written span log.
     """
     import signal
     import threading
@@ -332,8 +289,8 @@ def cmd_serve(args) -> int:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
         server.stop()
-        # drain queued background rewrites, then stop every maintenance
-        # worker (front + shards) before the databases go away
+        # drain queued background rewrites, then stop the maintenance
+        # worker before the database goes away
         try:
             setup.archis.drain_maintenance()
         except Exception as exc:
@@ -549,13 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats = commands.add_parser("stats", help="archive storage statistics")
     _add_dataset_args(stats)
     stats.set_defaults(fn=cmd_stats)
-
-    shards = commands.add_parser(
-        "shards",
-        help="inspect a sharded archive: routing, per-shard load",
-    )
-    _add_dataset_args(shards)
-    shards.set_defaults(fn=cmd_shards)
 
     explain = commands.add_parser(
         "explain", help="trace one XQuery: stages, SQL, physical reads"

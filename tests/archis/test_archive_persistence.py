@@ -150,3 +150,68 @@ def test_atlas_profile_roundtrip(db_path):
     again = ArchIS.open(db_path)
     assert again.profile.name == "atlas"
     assert len(again.history("employee", "salary")) == 1
+
+
+def _rewrite_sidecar(db_path, **extra):
+    import json
+
+    from repro.archis.persistence import sidecar_path
+
+    with open(sidecar_path(db_path), encoding="utf-8") as handle:
+        payload = json.load(handle)
+    payload.update(extra)
+    with open(sidecar_path(db_path), "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+
+
+def test_sidecar_records_no_partition_layout(db_path):
+    import json
+
+    from repro.archis.persistence import sidecar_path
+
+    archis = build(db_path)
+    archis.save()
+    archis.close()
+    with open(sidecar_path(db_path), encoding="utf-8") as handle:
+        assert "sharding" not in json.load(handle)
+
+
+def test_older_single_store_sidecar_opens_unchanged(db_path):
+    # earlier builds wrote the partition layout even for one store
+    archis = build(db_path)
+    churn(archis, employees=8, rounds=12)
+    before = serialize(archis.publish("employee"))
+    archis.save()
+    archis.close()
+    _rewrite_sidecar(db_path, sharding={"shards": 1, "shard_by": "hash"})
+    again = ArchIS.open(db_path)
+    try:
+        assert serialize(again.publish("employee")) == before
+    finally:
+        again.close()
+
+
+def test_partitioned_sidecar_is_refused_and_closes_the_db(
+    db_path, monkeypatch
+):
+    archis = build(db_path)
+    churn(archis, employees=4, rounds=3)
+    archis.save()
+    archis.close()
+    _rewrite_sidecar(db_path, sharding={"shards": 4, "shard_by": "range"})
+
+    opened = []
+    real_open = Database.open
+
+    def spy_open(*args, **kwargs):
+        db = real_open(*args, **kwargs)
+        opened.append(db)
+        return db
+
+    monkeypatch.setattr(Database, "open", spy_open)
+    with pytest.raises(ArchisError) as info:
+        ArchIS.open(db_path)
+    message = str(info.value)
+    assert db_path in message
+    assert "4 shards" in message and "'range'" in message
+    assert len(opened) == 1 and opened[0].pager._closed

@@ -2,9 +2,8 @@
 
 The SQL-native FOR SYSTEM_TIME path must agree with the engine's other
 time-travel surfaces (``snapshot_rows``, the ``history_`` functions) on
-single stores, segmented stores and sharded coordinators — and the plans
-must show the paper's access-path work (segment restriction, Exchange
-shard pruning) actually firing.
+single and segmented stores — and the plans must show the paper's
+access-path work (segment restriction) actually firing.
 """
 
 import pytest
@@ -15,7 +14,7 @@ from repro.rdb import ColumnType, Database
 from repro.util.timeutil import parse_date
 
 
-def build(shards=None, shard_by=None, **overrides):
+def build(**overrides):
     db = Database()
     db.set_date("1995-01-01")
     db.create_table(
@@ -27,7 +26,7 @@ def build(shards=None, shard_by=None, **overrides):
         ],
         primary_key=("id",),
     )
-    settings = dict(min_segment_rows=8, shards=shards, shard_by=shard_by)
+    settings = dict(min_segment_rows=8)
     settings.update(overrides)
     archis = ArchIS(db, config=ArchISConfig(**settings))
     archis.track_table("employee", document_name="employees.xml")
@@ -59,9 +58,8 @@ def as_of_sql(date=AS_OF):
 
 
 class TestAsOfAgainstSnapshots:
-    @pytest.mark.parametrize("shards", [None, 4])
-    def test_matches_snapshot_rows(self, shards):
-        archis = build(shards=shards, shard_by="hash" if shards else None)
+    def test_matches_snapshot_rows(self):
+        archis = build()
         churn(archis)
         got = archis.sql(as_of_sql()).rows
         want = sorted(
@@ -71,6 +69,11 @@ class TestAsOfAgainstSnapshots:
             ).rows
         )
         assert [tuple(r) for r in got] == want
+        keyed = archis.sql(
+            "SELECT t.id, t.salary FROM employee_salary t "
+            f"FOR SYSTEM_TIME AS OF DATE '{AS_OF}' WHERE t.id = 3"
+        ).rows
+        assert [tuple(r) for r in keyed] == [w for w in want if w[0] == 3]
 
     def test_segmented_plan_restricts_segments(self):
         archis = build()
@@ -86,35 +89,6 @@ class TestAsOfAgainstSnapshots:
         churn(archis)
         result = archis.sql("SELECT count(*) FROM employee")
         assert result.rows == [(9,)]
-
-
-class TestShardedTemporalSql:
-    def test_key_equality_prunes_to_one_shard(self):
-        archis = build(shards=4, shard_by="hash")
-        churn(archis)
-        registry = get_registry()
-        hit = registry.histogram("exchange.shards_hit")
-        before = hit.count
-        result = archis.sql(
-            "SELECT t.id, t.salary FROM employee_salary t "
-            f"FOR SYSTEM_TIME AS OF DATE '{AS_OF}' WHERE t.id = 3"
-        )
-        assert [tuple(r) for r in result.rows] == [(3, 2003)]
-        assert hit.count == before + 1
-        pruned = registry.counter("exchange.shards_pruned")
-        assert pruned.value > 0
-
-    def test_windowed_scan_agrees_with_unsharded(self):
-        sharded = build(shards=4, shard_by="hash")
-        churn(sharded)
-        plain = build()
-        churn(plain)
-        window = (
-            "SELECT t.id, t.salary, t.tstart, t.tend FROM employee_salary t "
-            "FOR SYSTEM_TIME FROM DATE '1995-02-01' TO DATE '1995-04-01' "
-            "ORDER BY t.id, t.tstart"
-        )
-        assert sharded.sql(window).rows == plain.sql(window).rows
 
 
 class TestTemporalOperatorsOnArchive:

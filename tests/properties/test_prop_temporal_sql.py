@@ -1,8 +1,8 @@
 """Property tests: SQL-native FOR SYSTEM_TIME agrees with every other
 time-travel surface, whatever the storage layout.
 
-For random update histories, on unsegmented, segmented and sharded
-(1 and 4 shards) archives alike:
+For random update histories, on unsegmented, segmented and
+log-tracked archives alike:
 
 - ``FOR SYSTEM_TIME AS OF d`` returns exactly ``snapshot_rows(d)``;
 - ``FOR SYSTEM_TIME FROM lo TO hi`` returns exactly the versions whose
@@ -21,9 +21,7 @@ def build_variants():
     for label, overrides in (
         ("unsegmented", dict(umin=None)),
         ("segmented", dict(umin=0.5)),
-        # sharding needs log tracking, i.e. the atlas profile
-        ("sharded1", dict(profile="atlas", shards=1, shard_by="hash")),
-        ("sharded4", dict(profile="atlas", shards=4, shard_by="hash")),
+        ("atlas", dict(profile="atlas")),
     ):
         db = Database()
         db.set_date("1990-01-01")

@@ -5,6 +5,7 @@ and talks to it with :class:`~repro.server.Client` — the same path an
 external process would use via ``python -m repro.tools serve``.
 """
 
+import socket
 import threading
 import time
 
@@ -58,6 +59,22 @@ class TestProtocolBasics:
             stats = client.stats()
         assert "txn" in stats
         assert "wal_fsyncs" in stats["durability"]
+
+
+class TestSocketOptions:
+    def test_nodelay_on_both_ends(self, served):
+        """A response is a header write then a payload write; Nagle plus
+        delayed ACK would hold the payload ~40 ms, so both ends disable
+        it."""
+        _, _, server, _, _ = served
+        with connect(served) as client:
+            assert client.ping() is True  # the session now owns the conn
+            assert client._sock.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+            conns = list(server._conns)
+            assert len(conns) == 1
+            assert conns[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
 
 class TestSqlOverTheWire:
